@@ -6,7 +6,7 @@ install:
 	pip install -e . --no-build-isolation
 
 test:
-	pytest tests/
+	PYTHONPATH=src python -m pytest -x -q
 
 # Determinism/scheduling static analysis (simlint) always runs whole-
 # program over src/tests/examples, gating on findings not recorded in
@@ -41,7 +41,7 @@ bench-smoke:
 
 # The pytest-benchmark micro suite (kernel-level timings).
 bench-micro:
-	pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
 
 report:
 	ebl-sim report --duration 40 --output report.md

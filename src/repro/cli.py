@@ -535,15 +535,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _cmd_sanitize(args: argparse.Namespace) -> int:
     from repro.faults.schedule import FAULT_PLAN_PRESETS
-    from repro.sanitizer.config import SanitizerConfig
     from repro.sanitizer.fuzz import load_config
 
     if args.config:
-        configs = [
-            load_config(args.config).with_overrides(
-                sanitize=SanitizerConfig()
-            )
-        ]
+        configs = [load_config(args.config).with_overrides(sanitize=True)]
     else:
         numbers = (
             sorted(TRIALS) if args.trial == "all" else [int(args.trial)]
@@ -552,7 +547,7 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
             TRIALS[number].with_overrides(
                 duration=args.duration,
                 fault_plan=FAULT_PLAN_PRESETS[args.fault_plan],
-                sanitize=SanitizerConfig(),
+                sanitize=True,
             )
             for number in numbers
         ]

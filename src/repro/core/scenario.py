@@ -36,6 +36,7 @@ from repro.mobility.platoon import Platoon, PlatoonSpec
 from repro.net.channel import WirelessChannel
 from repro.net.node import Node
 from repro.net.queues import DropTailQueue, PriQueue, REDQueue
+from repro.obs import api as obs
 from repro.obs.runtime import Observability
 from repro.phy.energy import EnergyModel
 from repro.phy.error_models import GilbertElliotErrorModel, UniformErrorModel
@@ -74,31 +75,35 @@ class EblScenario:
         self.geometry = geometry or ScenarioGeometry()
         # The sanitizer's kernel checks turn on the event loop's strict
         # (past-firing) mode; the label lands in SchedulingError messages.
-        self.env = Environment(
-            strict=config.sanitize is not None and config.sanitize.kernel
-        )
+        self.env = Environment(strict=config.sanitize)
         self.env.label = config.name
         self.tracer = Tracer() if config.enable_trace else None
-        # Observability is activated for the span of stack construction
-        # only: components bind their instruments as they are built (the
-        # channel below is instrumented too, hence activation comes
-        # first), and the ``finally`` guarantees no registry leaks into a
-        # later scenario built in the same process.  The sanitizer follows
-        # the identical lifecycle.
         self.observability = (
             Observability(config.observability, self.env)
             if config.observability is not None
             else None
         )
         self.sanitizer = (
-            Sanitizer(config.sanitize, self.env, scenario_name=config.name)
-            if config.sanitize is not None
+            Sanitizer(self.env, scenario_name=config.name)
+            if config.sanitize
             else None
         )
-        if self.observability is not None:
-            self.observability.activate()
-        if self.sanitizer is not None:
-            self.sanitizer.activate()
+        # The instrumentation context is active for the span of stack
+        # construction only: components bind their instruments, monitors
+        # and packet sinks as they are built (the channel below is
+        # instrumented too, hence activation comes first), and the
+        # ``finally`` guarantees nothing leaks into a later scenario
+        # built in the same process.
+        parts = (
+            (
+                self.observability.registry,
+                self.observability.journeys,
+                self.observability.spans,
+            )
+            if self.observability is not None
+            else ()
+        )
+        obs.activate(*parts, sanitizer=self.sanitizer)
         try:
             self.channel = WirelessChannel(self.env)
             # Scenario-level stream; components below derive their own named
@@ -112,10 +117,7 @@ class EblScenario:
             self._schedule_movements()
             self._build_faults(fault_schedule)
         finally:
-            if self.sanitizer is not None:
-                self.sanitizer.deactivate()
-            if self.observability is not None:
-                self.observability.deactivate()
+            obs.deactivate()
 
     # -- construction ---------------------------------------------------------
 
@@ -231,7 +233,6 @@ class EblScenario:
         config = self.config
         mac_factory = self._mac_factory()
         queue_factory = self._queue_factory()
-        radio = RadioParams(bitrate=config.bitrate)
         self.vehicles: list[Vehicle] = []
         mobilities = self.platoon1.mobilities + self.platoon2.mobilities
         for address, mobility in enumerate(mobilities):
@@ -252,7 +253,6 @@ class EblScenario:
             if config.track_energy:
                 node.phy.energy = EnergyModel(self.env)
             self.vehicles.append(Vehicle(self.env, node, mobility))
-        del radio
 
     def _make_error_model(self, address: int):
         config = self.config

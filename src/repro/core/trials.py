@@ -21,7 +21,6 @@ from typing import Optional
 from repro.faults.schedule import FaultPlan
 from repro.mobility.kinematics import mph_to_mps
 from repro.obs.config import ObservabilityConfig
-from repro.sanitizer.config import SanitizerConfig
 
 #: Valid MAC selections.
 MAC_TYPES = ("tdma", "802.11", "csma", "edca")
@@ -100,10 +99,11 @@ class TrialConfig:
     #: None disables it entirely — the no-op fast path.  Enabling it is
     #: guaranteed not to perturb results (see docs/OBSERVABILITY.md).
     observability: Optional[ObservabilityConfig] = None
-    #: Runtime invariant checking (simsan); None disables it entirely —
-    #: the same no-op fast path as observability.  Enabling it is
-    #: guaranteed not to perturb results (see docs/ROBUSTNESS.md).
-    sanitize: Optional[SanitizerConfig] = None
+    #: Runtime invariant checking (simsan): the packet ledger, kernel
+    #: and protocol checks together; False is the same no-op fast path
+    #: as ``observability=None``.  Enabling it is guaranteed not to
+    #: perturb results (see docs/ROBUSTNESS.md).
+    sanitize: bool = False
 
     def __post_init__(self) -> None:
         if self.packet_size <= 0:
@@ -140,6 +140,10 @@ class TrialConfig:
             raise ValueError("tcp_window must be positive")
         if not 0 <= self.error_rate < 1:
             raise ValueError("error_rate must be in [0, 1)")
+        if not isinstance(self.sanitize, bool):
+            raise ValueError(
+                f"sanitize must be a bool, not {type(self.sanitize).__name__}"
+            )
 
     def with_overrides(self, **kwargs) -> "TrialConfig":
         """A copy of this config with fields replaced."""

@@ -56,7 +56,6 @@ from repro.core.trials import TrialConfig
 from repro.faults.schedule import FaultPlan
 from repro.obs.config import ObservabilityConfig
 from repro.obs.introspect import read_last_heartbeat
-from repro.sanitizer.config import SanitizerConfig
 
 #: Synthetic trial kinds used to exercise the campaign's failure paths.
 TRIAL_KINDS = ("trial", "inject-crash", "inject-hang", "inject-large-result")
@@ -669,7 +668,6 @@ def campaign_trials(
     violation trials only — a campaign leaves behind exactly the traces
     worth opening in ui.perfetto.dev.
     """
-    sanitize_config = SanitizerConfig() if sanitize else base.sanitize
 
     def observability(key: str) -> Optional[ObservabilityConfig]:
         if heartbeat_dir is None and trace_dir is None:
@@ -697,7 +695,7 @@ def campaign_trials(
                 enable_trace=False,
                 fault_plan=fault_plan,
                 observability=observability(f"{base.name}-seed{seed}"),
-                sanitize=sanitize_config,
+                sanitize=sanitize or base.sanitize,
             ),
             trace_dir=str(trace_dir) if trace_dir is not None else None,
         )

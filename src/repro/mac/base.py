@@ -11,7 +11,6 @@ from repro.net.packet import Packet
 from repro.net.queues import DropTailQueue
 from repro.obs import api as obs
 from repro.phy.radio import WirelessPhy
-from repro.sanitizer import api as san
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.core import Environment
@@ -63,7 +62,7 @@ class Mac:
         self._obs_rx = obs.counter("mac.data.received")
         self._obs_drops = obs.counter("mac.drops")
         self.journeys = obs.journey_tracker()
-        self._ledger = san.packet_ledger()
+        self._ledger = obs.packet_ledger()
         self.recv_callback: Optional[Callable[[Packet], None]] = None
         self.link_failure_callback: Optional[Callable[[Packet], None]] = None
         self.link_success_callback: Optional[Callable[[Packet], None]] = None

@@ -30,7 +30,6 @@ from repro.mac.base import Mac, PLCP_OVERHEAD
 from repro.obs import api as obs
 from repro.obs.registry import SLOT_EDGES
 from repro.phy.radio import WirelessPhy
-from repro.sanitizer import api as san
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.core import Environment
@@ -127,7 +126,7 @@ class Dcf80211Mac(Mac):
         self._obs_sent = obs.counter("mac.dcf.data_sent")
         self._obs_retx = obs.counter("mac.dcf.retransmissions")
         self._obs_backoff = obs.histogram("mac.dcf.backoff_slots", SLOT_EDGES)
-        self._san = san.dcf_monitor()
+        self._san = obs.monitor("dcf_mon")
 
     # -- carrier sense (physical + virtual) -----------------------------------
 

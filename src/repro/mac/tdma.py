@@ -27,7 +27,6 @@ from repro.net.queues import DropTailQueue
 from repro.mac.base import Mac, PLCP_OVERHEAD
 from repro.obs import api as obs
 from repro.phy.radio import WirelessPhy
-from repro.sanitizer import api as san
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.core import Environment
@@ -77,7 +76,7 @@ class TdmaMac(Mac):
         self.params = params or TdmaParams()
         self._obs_sent = obs.counter("mac.tdma.data_sent")
         self._obs_wait = obs.histogram("mac.tdma.access_wait")
-        self._san = san.tdma_monitor()
+        self._san = obs.monitor("tdma_mon")
 
     # -- frame geometry ---------------------------------------------------------
 

@@ -19,7 +19,6 @@ from repro.obs import api as obs
 from repro.perf.fastpath import FASTPATH
 from repro.phy.propagation import SPEED_OF_LIGHT, PropagationModel, TwoRayGround
 from repro.phy.radio import WirelessPhy
-from repro.sanitizer import api as san
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.core import Environment
@@ -41,7 +40,7 @@ class WirelessChannel:
         #: value is an outage refcount: two overlapping outages on the
         #: same link must not resurrect it when the first one ends.
         self._blocked: dict[tuple[WirelessPhy, WirelessPhy], int] = {}
-        self._ledger = san.packet_ledger()
+        self._ledger = obs.packet_ledger()
         #: Channel-wide frame-loss probability in [0, 1) while degraded.
         self.loss_rate = 0.0
         self._loss_rng: Optional[random.Random] = None

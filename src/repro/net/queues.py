@@ -17,7 +17,6 @@ from repro.des.events import Event
 from repro.net.packet import Packet
 from repro.obs import api as obs
 from repro.obs.registry import OCCUPANCY_EDGES
-from repro.sanitizer import api as san
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.core import Environment
@@ -56,7 +55,7 @@ class DropTailQueue:
         self._obs_enq = obs.counter("queue.enqueued")
         self._obs_drop = obs.counter("queue.dropped")
         self._obs_occ = obs.histogram("queue.occupancy", OCCUPANCY_EDGES)
-        self._san = san.queue_monitor()
+        self._san = obs.monitor("queue_mon")
 
     def __len__(self) -> int:
         return len(self._items)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.obs.journey import DEFAULT_MAX_JOURNEYS
 from repro.obs.tracing.spans import DEFAULT_MAX_SPANS
 
 
@@ -22,8 +21,6 @@ class ObservabilityConfig:
     metrics: bool = True
     #: Record per-packet journey spans.
     journeys: bool = True
-    #: Journey cap (uids beyond it are not tracked; see JourneyTracker).
-    max_journeys: int = DEFAULT_MAX_JOURNEYS
     #: Heartbeat period in *simulated* seconds; None disables heartbeats.
     heartbeat_interval: Optional[float] = None
     #: JSONL file heartbeat records are appended to (append-per-record,
@@ -37,8 +34,6 @@ class ObservabilityConfig:
     profile_wall: bool = False
 
     def __post_init__(self) -> None:
-        if self.max_journeys <= 0:
-            raise ValueError("max_journeys must be positive")
         if self.max_spans <= 0:
             raise ValueError("max_spans must be positive")
         if self.heartbeat_interval is not None and self.heartbeat_interval <= 0:

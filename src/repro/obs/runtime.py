@@ -1,17 +1,17 @@
 """Per-trial observability runtime: registry + journeys + introspector.
 
 :class:`Observability` is what a scenario owns when its trial config
-enables observability.  The scenario activates it around stack
-construction (so components bind live instruments), starts it when the
-simulation starts (so the heartbeat process joins the event loop), and
-hands it to :func:`repro.core.runner.harvest` for the trial summary.
+enables observability.  The scenario passes its parts to
+:func:`repro.obs.api.activate` around stack construction (so components
+bind live instruments), starts it when the simulation starts (so the
+heartbeat process joins the event loop), and hands it to
+:func:`repro.core.runner.harvest` for the trial summary.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.obs import api
 from repro.obs.config import ObservabilityConfig
 from repro.obs.introspect import RunIntrospector
 from repro.obs.journey import JourneyTracker
@@ -32,7 +32,7 @@ class Observability:
             MetricRegistry() if config.metrics else None
         )
         self.journeys: Optional[JourneyTracker] = (
-            JourneyTracker(config.max_journeys) if config.journeys else None
+            JourneyTracker() if config.journeys else None
         )
         self.introspector: Optional[RunIntrospector] = None
         if config.heartbeat_interval is not None:
@@ -53,14 +53,6 @@ class Observability:
         if config.profile_wall:
             self.profiler = WallClockProfiler()
             self.profiler.install(env)
-
-    def activate(self) -> None:
-        """Install this runtime as the process-wide binding context."""
-        api.activate(self.registry, self.journeys, self.spans)
-
-    def deactivate(self) -> None:
-        """Clear the process-wide binding context."""
-        api.deactivate()
 
     def start(self) -> None:
         """Start the heartbeat process, if configured."""

@@ -133,12 +133,15 @@ class SpanTracer:
         if self._env is not None:
             self._env._uninstall_span_tracer()
 
-    def record_packet(self, code: str, layer: str, node: int, pkt: Any) -> None:
+    def record(
+        self, code: str, time: float, node: int, layer: str, pkt: Any
+    ) -> None:
         """Stitch a packet trace event onto the currently executing span.
 
-        Called from the node trace fan-out with the same vocabulary the
-        journey tracker records (``s``/``r``/``f``/``D`` + layer), so
-        spans and journeys join on ``uid``.
+        One of the node's packet sinks, with the journey tracker's
+        signature and vocabulary (``s``/``r``/``f``/``D`` + layer), so
+        spans and journeys join on ``uid``.  ``time`` is the executing
+        span's own fire time and is not stored again.
         """
         env = self._env
         if env is None:

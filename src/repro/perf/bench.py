@@ -29,7 +29,6 @@ from repro.core.runner import run_trial
 from repro.core.trials import TRIAL_1, TRIAL_2, TRIAL_3, TrialConfig
 from repro.obs.config import ObservabilityConfig
 from repro.perf.fastpath import fastpath_enabled
-from repro.sanitizer.config import SanitizerConfig
 
 try:  # pragma: no cover - resource is POSIX-only
     import resource
@@ -110,7 +109,7 @@ def bench_trial(
         duration=duration,
         enable_trace=False,
         observability=observability,
-        sanitize=SanitizerConfig() if sanitize else None,
+        sanitize=sanitize,
     )
     best_wall = float("inf")
     events = 0

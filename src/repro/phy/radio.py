@@ -16,7 +16,6 @@ from repro.net.packet import Packet
 from repro.obs import api as obs
 from repro.perf.fastpath import FASTPATH
 from repro.phy.propagation import SPEED_OF_LIGHT, PropagationModel, TwoRayGround
-from repro.sanitizer import api as san
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.core import Environment
@@ -154,7 +153,7 @@ class WirelessPhy:
         #: the radio only comes back up when every outstanding failure
         #: window has ended.
         self._down_count = 0
-        self._ledger = san.packet_ledger()
+        self._ledger = obs.packet_ledger()
         #: Transmit-power multiplier in (0, 1]; < 1 models a power droop.
         self.power_scale = 1.0
         #: Statistics.

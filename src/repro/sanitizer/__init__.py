@@ -1,13 +1,13 @@
 """simsan: opt-in runtime invariant checking for the EBL simulator.
 
-The sanitizer mirrors the observability layer's null-instrument fast
-path (:mod:`repro.obs.api`): components bind their monitors once at
-construction time, and when no sanitizer is active those bindings are
+Components bind the sanitizer's ledger and monitors once, at
+construction time, through the same context as the metrics
+(:mod:`repro.obs.api`); when no sanitizer is active those bindings are
 either ``None`` (per-trace-event paths, where an ``is not None`` test is
-cheapest) or shared null objects whose hook methods are no-ops.  With
-the sanitizer disabled a trial's trace digest is bit-identical to an
-uninstrumented run — the same differential guarantee the obs layer is
-golden-tested against.
+cheapest) or the shared null monitor whose hook methods are no-ops.
+With ``TrialConfig.sanitize`` False a trial's trace digest is
+bit-identical to an uninstrumented run; with it True, every checker
+family below runs, and the digest is still bit-identical (golden-tested).
 
 Checker families (see docs/ROBUSTNESS.md):
 
@@ -23,34 +23,11 @@ Checker families (see docs/ROBUSTNESS.md):
   slot-ownership exclusivity, 802.11 NAV/backoff non-negativity.
 """
 
+from repro.sanitizer.runtime import Sanitizer
+from repro.sanitizer.violations import InvariantViolation, SanitizerReport
+
 __all__ = [
-    "SanitizerConfig",
     "Sanitizer",
     "InvariantViolation",
     "SanitizerReport",
 ]
-
-#: Public name -> defining submodule, resolved lazily (PEP 562).  The
-#: instrumented hot-path modules (queues, radio, MAC, ...) import
-#: :mod:`repro.sanitizer.api` at module load; keeping this package init
-#: import-free breaks the cycle net -> sanitizer -> ledger -> obs ->
-#: net that an eager ``from .runtime import Sanitizer`` would create.
-_EXPORTS = {
-    "SanitizerConfig": "repro.sanitizer.config",
-    "Sanitizer": "repro.sanitizer.runtime",
-    "InvariantViolation": "repro.sanitizer.violations",
-    "SanitizerReport": "repro.sanitizer.violations",
-}
-
-
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module), name)
-
-
-def __dir__() -> list:
-    return sorted(set(globals()) | set(_EXPORTS))

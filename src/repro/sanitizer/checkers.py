@@ -1,7 +1,7 @@
 """Live protocol monitors and end-of-trial invariant checkers.
 
 Monitors are bound by components at construction (through
-:mod:`repro.sanitizer.api`) and called from the simulation's hot paths;
+:func:`repro.obs.api.monitor`) and called from the simulation's hot paths;
 they only *read* simulation state — no RNG draws, no event scheduling —
 so enabling them cannot perturb a run.  The ``check_*`` functions run
 once, at :meth:`repro.sanitizer.runtime.Sanitizer.finalize`.

@@ -37,7 +37,6 @@ from repro.core.trials import (
 )
 from repro.faults.schedule import FaultPlan
 from repro.obs.config import ObservabilityConfig
-from repro.sanitizer.config import SanitizerConfig
 
 #: Seed-derivation stream name for config generation (one index per
 #: generated config, so config *i* never depends on how many came first).
@@ -103,7 +102,7 @@ def generate_config(seed: int, index: int) -> TrialConfig:
         use_arp=rng.random() < 0.3,
         enable_trace=False,
         fault_plan=fault_plan,
-        sanitize=SanitizerConfig(),
+        sanitize=True,
     )
 
 
@@ -139,9 +138,6 @@ def config_from_dict(data: dict) -> TrialConfig:
     observability = payload.get("observability")
     if observability is not None:
         payload["observability"] = ObservabilityConfig(**observability)
-    sanitize = payload.get("sanitize")
-    if sanitize is not None:
-        payload["sanitize"] = SanitizerConfig(**sanitize)
     return TrialConfig(**payload)
 
 

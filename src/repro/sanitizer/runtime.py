@@ -1,18 +1,18 @@
 """Per-trial sanitizer runtime: ledger + monitors + finalize.
 
-:class:`Sanitizer` is what a scenario owns when its trial config enables
-sanitizing.  The scenario activates it around stack construction (so
-components bind live monitors), and :func:`repro.core.runner.harvest`
-calls :meth:`finalize` to run the end-of-trial checkers and collect the
+:class:`Sanitizer` is what a scenario owns when its trial config sets
+``sanitize``.  The scenario passes it to :func:`repro.obs.api.activate`
+around stack construction (so components bind its ledger and live
+monitors, and kernel resources register for the occupancy audit), and
+:func:`repro.core.runner.harvest` calls :meth:`finalize` to run the
+end-of-trial checkers and collect the
 :class:`~repro.sanitizer.violations.SanitizerReport`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
-from repro.des import resources as des_resources
-from repro.sanitizer import api
 from repro.sanitizer.checkers import (
     DcfMonitor,
     QueueMonitor,
@@ -22,7 +22,6 @@ from repro.sanitizer.checkers import (
     check_routing,
     collect_resident_uids,
 )
-from repro.sanitizer.config import SanitizerConfig
 from repro.sanitizer.ledger import PacketLedger
 from repro.sanitizer.violations import InvariantViolation, SanitizerReport
 
@@ -30,58 +29,43 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.scenario import EblScenario
     from repro.des.core import Environment
 
+#: Cap on collected violations per trial (a systemic bug would otherwise
+#: flood the report with one record per packet).
+DEFAULT_MAX_VIOLATIONS = 200
+
+#: Packets whose last sighting falls within this many simulated seconds
+#: of the trial end are "in flight at cutoff", not leaked.  Generous on
+#: purpose: a frame can legitimately sit out a full TDMA frame plus
+#: propagation before its next trace event.
+DEFAULT_CUTOFF_GRACE = 1.0
+
 
 class Sanitizer:
     """Everything checked during one trial."""
 
-    def __init__(
-        self,
-        config: SanitizerConfig,
-        env: "Environment",
-        scenario_name: str = "",
-    ) -> None:
-        self.config = config
+    def __init__(self, env: "Environment", scenario_name: str = "") -> None:
         self.env = env
         self.scenario_name = scenario_name
         self.report = SanitizerReport(scenario=scenario_name)
-        self.ledger: Optional[PacketLedger] = (
-            PacketLedger() if config.ledger else None
-        )
-        self.queue_mon: Optional[QueueMonitor] = None
-        self.tcp_mon: Optional[TcpMonitor] = None
-        self.tdma_mon: Optional[TdmaMonitor] = None
-        self.dcf_mon: Optional[DcfMonitor] = None
-        if config.protocols:
-            self.queue_mon = QueueMonitor(self.emit, env)
-            self.tcp_mon = TcpMonitor(self.emit, env)
-            self.tdma_mon = TdmaMonitor(self.emit, env)
-            self.dcf_mon = DcfMonitor(self.emit, env)
-        self._resources: list[object] = []
+        self.ledger = PacketLedger()
+        self.queue_mon = QueueMonitor(self.emit, env)
+        self.tcp_mon = TcpMonitor(self.emit, env)
+        self.tdma_mon = TdmaMonitor(self.emit, env)
+        self.dcf_mon = DcfMonitor(self.emit, env)
+        #: Kernel resources built while this sanitizer was active.
+        self.resources: list[object] = []
         self._finalized = False
 
     # -- violation sink ----------------------------------------------------
 
     def emit(self, violation: InvariantViolation) -> None:
         """Collect one violation, stamping the scenario name and capping
-        the report at ``max_violations``."""
+        the report at :data:`DEFAULT_MAX_VIOLATIONS`."""
         violation.scenario = self.scenario_name
-        if len(self.report.violations) >= self.config.max_violations:
+        if len(self.report.violations) >= DEFAULT_MAX_VIOLATIONS:
             self.report.overflow += 1
             return
         self.report.violations.append(violation)
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def activate(self) -> None:
-        """Install this runtime as the process-wide binding context."""
-        api.activate(self)
-        if self.config.kernel:
-            des_resources._AUDIT_HOOK = self._resources.append
-
-    def deactivate(self) -> None:
-        """Clear the process-wide binding context."""
-        api.deactivate()
-        des_resources._AUDIT_HOOK = None
 
     # -- finalize ----------------------------------------------------------
 
@@ -90,23 +74,19 @@ class Sanitizer:
         if self._finalized:
             return self.report
         self._finalized = True
-        if self.config.kernel:
-            check_kernel(scenario, self.env, self._resources, self.emit)
-        if self.config.protocols:
-            check_routing(scenario, self.emit)
-        if self.ledger is not None:
-            observability = scenario.observability
-            journeys = (
+        check_kernel(scenario, self.env, self.resources, self.emit)
+        check_routing(scenario, self.emit)
+        observability = scenario.observability
+        counters = self.ledger.audit(
+            end_time=self.env.now,
+            grace=DEFAULT_CUTOFF_GRACE,
+            resident_uids=collect_resident_uids(scenario, self.ledger),
+            emit=self.emit,
+            flooding=scenario.config.routing == "flooding",
+            journeys=(
                 observability.journeys if observability is not None else None
-            )
-            counters = self.ledger.audit(
-                end_time=self.env.now,
-                grace=self.config.cutoff_grace,
-                resident_uids=collect_resident_uids(scenario, self.ledger),
-                emit=self.emit,
-                flooding=scenario.config.routing == "flooding",
-                journeys=journeys,
-            )
-            counters["notes"] = self.ledger.notes_recorded
-            self.report.counters.update(counters)
+            ),
+        )
+        counters["notes"] = self.ledger.notes_recorded
+        self.report.counters.update(counters)
         return self.report

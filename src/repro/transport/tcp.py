@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING, Optional
 from repro.net.headers import IpHeader, TcpHeader
 from repro.net.packet import Packet, PacketType
 from repro.obs import api as obs
-from repro.sanitizer import api as san
 from repro.transport.agents import Agent
 from repro.transport.udp import ReceivedRecord
 
@@ -87,7 +86,7 @@ class TcpAgent(Agent):
         self._obs_retx = obs.counter("tcp.retransmits")
         self._obs_timeouts = obs.counter("tcp.timeouts")
         self._obs_rtt = obs.histogram("tcp.rtt")
-        self._san = san.tcp_monitor()
+        self._san = obs.monitor("tcp_mon")
         #: True while the application allows transmission (start/stop gate).
         self.running = True
 
@@ -368,7 +367,7 @@ class TcpSink(Agent):
         self.records: list[ReceivedRecord] = []
         self._out_of_order: set[int] = set()
         self._ack_pending = False
-        self._san = san.tcp_monitor()
+        self._san = obs.monitor("tcp_mon")
 
     def receive(self, pkt: Packet) -> None:
         header: TcpHeader = pkt.header("tcp")

@@ -493,13 +493,11 @@ class TestCampaignTrials:
         assert keys == ["campaign-test-seed1", "inject-crash", "inject-hang"]
 
     def test_sanitize_flag_enables_full_sanitizer(self):
-        from repro.sanitizer.config import SanitizerConfig
-
         trials = campaign_trials(tiny_config(), seeds=[1, 2], sanitize=True)
         for trial in trials:
-            assert trial.config.sanitize == SanitizerConfig()
+            assert trial.config.sanitize is True
         plain = campaign_trials(tiny_config(), seeds=[1])
-        assert plain[0].config.sanitize is None
+        assert plain[0].config.sanitize is False
 
 
 class TestCampaignViolationStatus:

@@ -120,9 +120,8 @@ class TestOverlappingNodeCrashes:
 
     def test_overlapped_crash_trial_is_sanitizer_clean(self):
         from repro.faults.schedule import FaultSchedule
-        from repro.sanitizer.config import SanitizerConfig
 
-        config = small_config(sanitize=SanitizerConfig(), routing="aodv")
+        config = small_config(sanitize=True, routing="aodv")
         scenario = EblScenario(
             config, fault_schedule=FaultSchedule(self.EVENTS)
         )
@@ -207,10 +206,9 @@ class TestOverlappingLinkOutages:
         from repro.faults.schedule import FaultSchedule
         from repro.net.headers import IpHeader
         from repro.net.packet import Packet, PacketType
-        from repro.sanitizer.config import SanitizerConfig
 
         scenario = EblScenario(
-            small_config(sanitize=SanitizerConfig()),
+            small_config(sanitize=True),
             fault_schedule=FaultSchedule(self.EVENTS),
         )
         phy_a = scenario.vehicles[0].node.phy

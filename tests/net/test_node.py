@@ -2,12 +2,17 @@
 
 import pytest
 
+from repro.core.scenario import EblScenario
+from repro.core.trials import TrialConfig
 from repro.des import Environment
 from repro.net.channel import WirelessChannel
+from repro.net.headers import IpHeader
 from repro.net.node import Node
+from repro.net.packet import Packet, PacketType
 from repro.mac.dcf import Dcf80211Mac
 from repro.mobility.base import StationaryMobility
 from repro.mobility.waypoint import WaypointMobility
+from repro.obs import ObservabilityConfig
 from repro.routing.static_routing import StaticRouting
 from repro.trace.writer import Tracer
 from repro.transport.udp import UdpAgent, UdpSink
@@ -139,3 +144,52 @@ def test_repr(env):
     node = Node(env, 3, StationaryMobility(1, 2), channel,
                 lambda e, a, p, q: Dcf80211Mac(e, a, p, q))
     assert "Node 3" in repr(node)
+
+
+def test_node_fans_trace_events_out_to_the_sinks_active_at_build(env):
+    _, (bare,) = build_line_topology(env, 1)
+    assert bare._sinks == ()
+
+    config = TrialConfig(
+        duration=1.0,
+        enable_trace=True,
+        observability=ObservabilityConfig(
+            metrics=False, journeys=True, tracing=True
+        ),
+        sanitize=True,
+    )
+    scenario = EblScenario(config)
+    tracer = scenario.tracer
+    journeys = scenario.observability.journeys
+    spans = scenario.observability.spans
+    ledger = scenario.sanitizer.ledger
+    node = scenario.vehicles[0].node
+    assert node._sinks == (
+        tracer.record, journeys.record, spans.record, ledger.record
+    )
+    assert node.mac.trace_callback == node._trace
+
+    pkt = Packet(ptype=PacketType.CBR, size=100, ip=IpHeader(src=0, dst=1))
+    events = [("s", "AGT"), ("s", "MAC"), ("r", "MAC"), ("r", "AGT"),
+              ("D", "IFQ")]
+
+    def fire(_event):
+        for code, layer in events:
+            node._trace(code, pkt, layer)
+
+    event = scenario.env.event()
+    event.callbacks.append(fire)
+    scenario.env.schedule(event, delay=0.5)
+    scenario.env.run(until=0.75)
+
+    assert [
+        (r.event, r.layer, r.time) for r in tracer.records if r.uid == pkt.uid
+    ] == [(code, layer, 0.5) for code, layer in events]
+    assert [(h.event, h.layer) for h in journeys.journey(pkt.uid).hops] == events
+    (marked,) = [span for span in spans.finalize() if pkt.uid in span.uids]
+    assert [(m.code, m.layer, m.uid) for m in marked.marks] == [
+        (code, layer, pkt.uid) for code, layer in events
+    ]
+    record = ledger._records[pkt.uid]
+    assert record.delivered and record.r_mac and record.dropped
+    assert record.last_time == 0.5

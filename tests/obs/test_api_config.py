@@ -1,11 +1,12 @@
-"""Tests for the obs activation API and ObservabilityConfig validation."""
+"""Tests for the instrumentation context and ObservabilityConfig validation."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.obs import ObservabilityConfig
+from repro.obs import Observability, ObservabilityConfig
 from repro.obs import api
+from repro.des import Environment
 from repro.obs.journey import DEFAULT_MAX_JOURNEYS, JourneyTracker
 from repro.obs.registry import (
     NULL_COUNTER,
@@ -17,7 +18,7 @@ from repro.obs.registry import (
 
 @pytest.fixture(autouse=True)
 def clean_context():
-    """Every test starts and ends with no active observability context."""
+    """Every test starts and ends with no active instrumentation context."""
     api.deactivate()
     yield
     api.deactivate()
@@ -25,19 +26,16 @@ def clean_context():
 
 class TestApiBinding:
     def test_inactive_proxies_return_null_instruments(self):
-        assert not api.is_active()
-        assert api.active_registry() is None
         assert api.counter("mac.drops") is NULL_COUNTER
         assert api.gauge("queue.depth") is NULL_GAUGE
         assert api.histogram("tcp.rtt") is NULL_HISTOGRAM
         assert api.journey_tracker() is None
+        assert api.packet_sinks() == ()
 
     def test_active_proxies_return_live_instruments(self):
         registry = MetricRegistry()
         tracker = JourneyTracker()
         api.activate(registry, tracker)
-        assert api.is_active()
-        assert api.active_registry() is registry
         assert api.counter("mac.drops") is registry.counter("mac.drops")
         assert api.gauge("queue.depth") is registry.gauge("queue.depth")
         assert api.histogram("tcp.rtt") is registry.histogram("tcp.rtt")
@@ -46,9 +44,9 @@ class TestApiBinding:
     def test_deactivate_restores_null_path(self):
         api.activate(MetricRegistry(), JourneyTracker())
         api.deactivate()
-        assert not api.is_active()
         assert api.counter("mac.drops") is NULL_COUNTER
         assert api.journey_tracker() is None
+        assert api.packet_sinks() == ()
 
     def test_bound_instruments_outlive_deactivation(self):
         # Components bind once at construction; the instrument keeps
@@ -63,23 +61,19 @@ class TestApiBinding:
     def test_journeys_without_metrics(self):
         tracker = JourneyTracker()
         api.activate(None, tracker)
-        assert not api.is_active()  # metrics side stays on the null path
-        assert api.counter("mac.drops") is NULL_COUNTER
+        assert api.counter("mac.drops") is NULL_COUNTER  # metrics stay null
         assert api.journey_tracker() is tracker
+        assert api.packet_sinks() == (tracker.record,)
 
 
 class TestObservabilityConfig:
     def test_defaults(self):
         config = ObservabilityConfig()
         assert config.metrics and config.journeys
-        assert config.max_journeys == DEFAULT_MAX_JOURNEYS
+        journeys = Observability(config, Environment()).journeys
+        assert journeys.max_journeys == DEFAULT_MAX_JOURNEYS
         assert config.heartbeat_interval is None
         assert config.heartbeat_path is None
-
-    @pytest.mark.parametrize("bad", [0, -1])
-    def test_bad_max_journeys_rejected(self, bad):
-        with pytest.raises(ValueError, match="max_journeys"):
-            ObservabilityConfig(max_journeys=bad)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_bad_heartbeat_interval_rejected(self, bad):

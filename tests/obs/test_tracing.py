@@ -28,7 +28,7 @@ from repro.obs.tracing.spans import Mark, Span
 
 
 class FakePacket:
-    """Just enough of a packet for ``record_packet``."""
+    """Just enough of a packet for :meth:`SpanTracer.record`."""
 
     def __init__(self, uid: int, ptype: str = "ebl") -> None:
         self.uid = uid
@@ -130,7 +130,7 @@ class TestSpanRecording:
 
     def test_record_packet_before_any_event_is_ignored(self):
         env, tracer = traced_env()
-        tracer.record_packet("s", "AGT", 0, FakePacket(7))
+        tracer.record("s", env.now, 0, "AGT", FakePacket(7))
         assert tracer.raw_marks == {}
 
     def test_marks_stitch_onto_the_executing_span(self):
@@ -138,7 +138,7 @@ class TestSpanRecording:
         pkt = FakePacket(42)
 
         def touch(_event):
-            tracer.record_packet("s", "AGT", 3, pkt)
+            tracer.record("s", env.now, 3, "AGT", pkt)
 
         ev = env.event()
         ev.callbacks.append(touch)

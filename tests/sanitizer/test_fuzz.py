@@ -17,7 +17,6 @@ from repro.core.trials import TrialConfig
 from repro.experiments.campaign import TrialOutcome
 from repro.faults.schedule import FaultPlan
 from repro.net.queues import DropTailQueue
-from repro.sanitizer.config import SanitizerConfig
 from repro.sanitizer.fuzz import (
     config_from_dict,
     config_to_dict,
@@ -47,7 +46,7 @@ class TestGeneration:
     def test_configs_are_valid_and_sanitized(self):
         for config in generate_configs(3, 20):
             assert isinstance(config, TrialConfig)  # validated on init
-            assert config.sanitize == SanitizerConfig()
+            assert config.sanitize is True
             assert config.enable_trace is False
             assert 3.0 <= config.duration <= 8.0
 
@@ -65,6 +64,14 @@ class TestConfigRoundTrip:
             # Through JSON, so tuples inside FaultPlan become lists.
             data = json.loads(json.dumps(config_to_dict(config)))
             assert config_from_dict(data) == config
+
+    def test_dict_sanitize_from_old_repro_rejected(self):
+        # Repro files saved while ``sanitize`` was a checker-config object
+        # carry a dict there; it must fail loudly, not run as truthy.
+        data = config_to_dict(generate_config(5, 0))
+        data["sanitize"] = {"ledger": True, "kernel": True, "protocols": True}
+        with pytest.raises(ValueError, match="sanitize"):
+            config_from_dict(data)
 
     def test_file_round_trip(self, tmp_path):
         config = generate_config(5, 3)
@@ -180,7 +187,7 @@ def bug_triggering_config(**overrides) -> TrialConfig:
         mac_type="tdma",
         enable_trace=False,
         track_energy=False,
-        sanitize=SanitizerConfig(),
+        sanitize=True,
         fault_plan=FaultPlan(link_outages=1),
     )
     base.update(overrides)
@@ -296,7 +303,7 @@ class TestParallelSweep:
                 duration=1.0,
                 enable_trace=False,
                 track_energy=False,
-                sanitize=SanitizerConfig(),
+                sanitize=True,
             )
             for index in range(count)
         ]

@@ -6,12 +6,12 @@ import pytest
 
 from repro.core.runner import run_trial
 from repro.core.trials import TRIAL_1, TRIAL_2, TRIAL_3, TrialConfig
+from repro.des import resources as des_resources
 from repro.des.core import Environment
 from repro.faults.schedule import FAULT_PLAN_PRESETS
+from repro.obs import api
 from repro.obs.config import ObservabilityConfig
-from repro.sanitizer import api
-from repro.sanitizer.config import SanitizerConfig
-from repro.sanitizer.runtime import Sanitizer
+from repro.sanitizer.runtime import DEFAULT_MAX_VIOLATIONS, Sanitizer
 from repro.sanitizer.violations import InvariantViolation
 
 
@@ -21,36 +21,18 @@ def violation(checker="packet-leak", **overrides) -> InvariantViolation:
     return InvariantViolation(**base)
 
 
-class TestConfigValidation:
-    def test_all_disabled_rejected(self):
-        with pytest.raises(ValueError):
-            SanitizerConfig(ledger=False, kernel=False, protocols=False)
-
-    def test_nonpositive_cap_rejected(self):
-        with pytest.raises(ValueError):
-            SanitizerConfig(max_violations=0)
-
-    def test_negative_grace_rejected(self):
-        with pytest.raises(ValueError):
-            SanitizerConfig(cutoff_grace=-0.1)
-
-
 class TestEmit:
     def test_scenario_name_stamped(self):
-        sanitizer = Sanitizer(
-            SanitizerConfig(), Environment(), scenario_name="trial-x"
-        )
+        sanitizer = Sanitizer(Environment(), scenario_name="trial-x")
         sanitizer.emit(violation())
         assert sanitizer.report.violations[0].scenario == "trial-x"
 
     def test_cap_overflows_instead_of_growing(self):
-        sanitizer = Sanitizer(
-            SanitizerConfig(max_violations=3), Environment()
-        )
-        for _ in range(5):
+        sanitizer = Sanitizer(Environment())
+        for _ in range(DEFAULT_MAX_VIOLATIONS + 1):
             sanitizer.emit(violation())
-        assert len(sanitizer.report.violations) == 3
-        assert sanitizer.report.overflow == 2
+        assert len(sanitizer.report.violations) == DEFAULT_MAX_VIOLATIONS
+        assert sanitizer.report.overflow == 1
         assert not sanitizer.report.ok
 
 
@@ -70,9 +52,7 @@ class TestViolationRendering:
         assert "uid" not in data and "node" not in data
 
     def test_report_render_lists_violations_and_counters(self):
-        sanitizer = Sanitizer(
-            SanitizerConfig(), Environment(), scenario_name="t"
-        )
+        sanitizer = Sanitizer(Environment(), scenario_name="t")
         sanitizer.emit(violation(uid=9))
         sanitizer.report.counters["audited"] = 12
         text = sanitizer.report.render()
@@ -81,14 +61,15 @@ class TestViolationRendering:
         assert "audited=12" in text
 
 
+MONITORS = ("queue_mon", "tcp_mon", "tdma_mon", "dcf_mon")
+
+
 class TestApiBinding:
     def test_disabled_returns_null_monitors_and_no_ledger(self):
-        assert api.active_sanitizer() is None
         assert api.packet_ledger() is None
-        assert api.queue_monitor() is api.NULL_MONITOR
-        assert api.tcp_monitor() is api.NULL_MONITOR
-        assert api.tdma_monitor() is api.NULL_MONITOR
-        assert api.dcf_monitor() is api.NULL_MONITOR
+        for name in MONITORS:
+            assert api.monitor(name) is api.NULL_MONITOR
+        assert des_resources._AUDIT_HOOK is None
 
     def test_null_monitor_hooks_are_noops(self):
         null = api.NULL_MONITOR
@@ -101,26 +82,19 @@ class TestApiBinding:
         null.on_backoff(None, -5)
 
     def test_active_sanitizer_binds_live_monitors(self):
-        sanitizer = Sanitizer(SanitizerConfig(), Environment())
-        api.activate(sanitizer)
+        sanitizer = Sanitizer(Environment())
+        api.activate(sanitizer=sanitizer)
         try:
             assert api.packet_ledger() is sanitizer.ledger
-            assert api.queue_monitor() is sanitizer.queue_mon
-            assert api.dcf_monitor() is sanitizer.dcf_mon
+            for name in MONITORS:
+                assert api.monitor(name) is getattr(sanitizer, name)
+            assert api.packet_sinks() == (sanitizer.ledger.record,)
+            # Kernel resources built now register for the end-of-trial audit.
+            assert des_resources._AUDIT_HOOK == sanitizer.resources.append
         finally:
             api.deactivate()
-        assert api.queue_monitor() is api.NULL_MONITOR
-
-    def test_partial_config_keeps_null_for_disabled_families(self):
-        sanitizer = Sanitizer(
-            SanitizerConfig(protocols=False), Environment()
-        )
-        api.activate(sanitizer)
-        try:
-            assert api.packet_ledger() is sanitizer.ledger
-            assert api.queue_monitor() is api.NULL_MONITOR
-        finally:
-            api.deactivate()
+        assert api.monitor("queue_mon") is api.NULL_MONITOR
+        assert des_resources._AUDIT_HOOK is None
 
 
 PAPER_TRIALS = {"trial1": TRIAL_1, "trial2": TRIAL_2, "trial3": TRIAL_3}
@@ -131,9 +105,7 @@ class TestCleanTrials:
 
     @pytest.mark.parametrize("name", sorted(PAPER_TRIALS))
     def test_paper_trial_sanitizer_clean(self, name):
-        config = PAPER_TRIALS[name].with_overrides(
-            duration=12.0, sanitize=SanitizerConfig()
-        )
+        config = PAPER_TRIALS[name].with_overrides(duration=12.0, sanitize=True)
         result = run_trial(config)
         report = result.sanitizer_report
         assert report is not None
@@ -145,7 +117,7 @@ class TestCleanTrials:
     def test_faulted_trial_losses_attributed_not_flagged(self, plan):
         config = TRIAL_1.with_overrides(
             duration=12.0,
-            sanitize=SanitizerConfig(),
+            sanitize=True,
             fault_plan=FAULT_PLAN_PRESETS[plan],
         )
         result = run_trial(config)
@@ -155,7 +127,7 @@ class TestCleanTrials:
     def test_sanitized_with_observability_cross_validates(self):
         config = TRIAL_1.with_overrides(
             duration=12.0,
-            sanitize=SanitizerConfig(),
+            sanitize=True,
             observability=ObservabilityConfig(),
         )
         result = run_trial(config)
