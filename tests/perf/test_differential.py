@@ -12,6 +12,7 @@ in a subprocess and reports its trace digest on stdout.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -22,6 +23,7 @@ import pytest
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
 _DIGEST_SCRIPT = """
+import json
 import sys
 from repro.core.runner import run_trial
 from repro.core.trials import TRIAL_1, TRIAL_2, TRIAL_3
@@ -29,26 +31,35 @@ from repro.perf.equivalence import trace_digest
 from repro.perf.fastpath import fastpath_enabled
 
 configs = {"trial1": TRIAL_1, "trial2": TRIAL_2, "trial3": TRIAL_3}
-config = configs[sys.argv[1]].with_overrides(duration=float(sys.argv[2]))
+config = configs[sys.argv[1]].with_overrides(**json.loads(sys.argv[2]))
 result = run_trial(config)
 print(f"{int(fastpath_enabled())} {trace_digest(result)}")
 """
 
-#: Durations chosen so each subprocess run stays around or below a
-#: second; trial 3 (802.11 contention) is by far the slowest per
-#: simulated second.
-_DURATIONS = {"trial1": 10.0, "trial2": 10.0, "trial3": 5.0}
+#: Case -> (trial, overrides).  Durations keep each subprocess run
+#: around a second; trial 3 (802.11 contention) is by far the slowest
+#: per simulated second.  In ``trial3_48`` most receivers sit beyond
+#: carrier-sense range: the fast path skips them through its neighbour
+#: lists while the reference loop visits every radio, so this case is
+#: the one that proves the culling sound.
+_CASES = {
+    "trial1": ("trial1", {"duration": 10.0}),
+    "trial2": ("trial2", {"duration": 10.0}),
+    "trial3": ("trial3", {"duration": 5.0}),
+    "trial3_48": ("trial3", {"duration": 1.0, "platoon_size": 48}),
+}
 
 
-def _run_digest(trial: str, fastpath: bool) -> tuple[bool, str]:
+def _run_digest(case: str, fastpath: bool) -> tuple[bool, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_SRC)
     if fastpath:
         env.pop("REPRO_NO_FASTPATH", None)
     else:
         env["REPRO_NO_FASTPATH"] = "1"
+    trial, overrides = _CASES[case]
     result = subprocess.run(
-        [sys.executable, "-c", _DIGEST_SCRIPT, trial, str(_DURATIONS[trial])],
+        [sys.executable, "-c", _DIGEST_SCRIPT, trial, json.dumps(overrides)],
         capture_output=True,
         text=True,
         timeout=300,
@@ -59,7 +70,7 @@ def _run_digest(trial: str, fastpath: bool) -> tuple[bool, str]:
     return bool(int(mode)), digest
 
 
-@pytest.mark.parametrize("trial", sorted(_DURATIONS))
+@pytest.mark.parametrize("trial", sorted(_CASES))
 def test_fastpath_is_bit_identical_to_reference(trial):
     fast_mode, fast_digest = _run_digest(trial, fastpath=True)
     ref_mode, ref_digest = _run_digest(trial, fastpath=False)
