@@ -14,6 +14,7 @@ import pytest
 from repro.des import Environment
 from repro.mac.dcf import Dcf80211Mac
 from repro.mac.edca import EdcaMac
+from repro.mobility.base import StationaryMobility
 from repro.net.channel import WirelessChannel
 from repro.net.headers import EblHeader, IpHeader, MacHeader
 from repro.net.packet import Packet, PacketType
@@ -28,7 +29,7 @@ def _packet(src, dst, ptype=PacketType.CBR, size=1000):
 
 
 def _build(env, channel, address, x, cls):
-    phy = WirelessPhy(env, position_fn=lambda: (x, 0.0))
+    phy = WirelessPhy(env, StationaryMobility(x, 0.0))
     channel.attach(phy)
     mac = cls(env, address, phy, DropTailQueue(env, limit=100),
               rng=random.Random(address + 42))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from repro.mobility.base import StationaryMobility
 from repro.net.addresses import BROADCAST
 from repro.net.headers import IpHeader, MacHeader
 from repro.net.packet import Packet, PacketType
@@ -89,7 +90,7 @@ class JammerApp:
         self.period = period
         self.noise_size = noise_size
         self.phy = WirelessPhy(
-            env, position_fn=lambda: position, params=radio_params
+            env, StationaryMobility(*position), params=radio_params
         )
         self.phy.mac = _DeafMac()
         channel.attach(self.phy)

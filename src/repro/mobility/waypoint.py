@@ -60,6 +60,7 @@ class WaypointMobility(MobilityModel):
         #: Segment start times, kept parallel to ``_segments`` so
         #: ``position`` can bisect instead of scanning every leg.
         self._start_times: list[float] = []
+        self._max_speed = 0.0
 
     def set_destination(self, at_time: float, x: float, y: float, speed: float) -> None:
         """Schedule a movement starting at ``at_time`` (ns-2 ``setdest``)."""
@@ -76,6 +77,10 @@ class WaypointMobility(MobilityModel):
             _Segment(at_time, x0, y0, float(x), float(y), float(speed))
         )
         self._start_times.append(at_time)
+        self._max_speed = max(self._max_speed, float(speed))
+        # Any new leg may move the node at times a channel has already
+        # sized neighbour lists for (it can start in the past).
+        self._changed()
 
     def position(self, t: float) -> Position:
         # The governing leg is the last one that has started by ``t``
@@ -87,16 +92,22 @@ class WaypointMobility(MobilityModel):
         return self._segments[i].position_at(t)
 
     def velocity(self, t: float) -> Position:
-        active = None
-        for seg in self._segments:
-            if seg.start_time <= t < seg.end_time:
-                active = seg
-        if active is None or active.duration == 0:
+        # The same governing leg as :meth:`position`: a later command
+        # preempts an earlier leg even while that leg is unfinished.
+        i = bisect_right(self._start_times, t) - 1
+        if i < 0:
+            return (0.0, 0.0)
+        leg = self._segments[i]
+        if leg.duration == 0 or t >= leg.end_time:
             return (0.0, 0.0)
         return (
-            (active.x1 - active.x0) / active.duration,
-            (active.y1 - active.y0) / active.duration,
+            (leg.x1 - leg.x0) / leg.duration,
+            (leg.y1 - leg.y0) / leg.duration,
         )
+
+    def max_speed(self) -> float:
+        """The fastest scheduled leg's speed (0 before any leg)."""
+        return self._max_speed
 
     @property
     def waypoint_count(self) -> int:

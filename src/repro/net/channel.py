@@ -1,16 +1,24 @@
 """The shared wireless channel.
 
-A single broadcast medium: every transmission is offered to every other
-attached radio, with per-receiver received power computed from the
-propagation model and node geometry at transmission time, and delivery
-delayed by distance/c.  Receivers below their carrier-sense threshold never
-hear the signal at all (ns-2's "interference distance" filter).
+A single broadcast medium.  A transmission reaches every other attached
+radio whose received power, computed from the propagation model and the
+node geometry at transmission time, is at or above that radio's
+carrier-sense threshold; delivery is delayed by distance/c.  Radios below
+the threshold never hear the signal at all (ns-2's "interference
+distance" filter).
+
+The reference loop in :meth:`WirelessChannel.transmit` visits every radio
+to find them.  The fast path visits only the sender's *neighbour list*
+(a Verlet list, as in molecular dynamics): the radios that could reach
+carrier-sense range before the list expires.  See
+:meth:`WirelessChannel._build_neighbours` for why skipping the rest
+changes nothing.
 """
 
 from __future__ import annotations
 
 import random
-from math import hypot
+from math import hypot, inf
 from typing import TYPE_CHECKING, Optional
 
 from repro.des.events import DeferredBatch
@@ -22,6 +30,13 @@ from repro.phy.radio import WirelessPhy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.core import Environment
+    from repro.mobility.base import MobilityModel
+
+#: Slack, metres, a neighbour list keeps beyond carrier-sense range.  A
+#: list stays valid while no sender/receiver pair can close this gap,
+#: i.e. for ``NEIGHBOUR_MARGIN / (2·v_max)`` seconds: about 1.1 s among
+#: vehicles at 50 mph (22.4 m/s).
+NEIGHBOUR_MARGIN = 50.0
 
 
 class WirelessChannel:
@@ -70,6 +85,18 @@ class WirelessChannel:
                 ],
             ],
         ] = {}
+        #: Fast path: per sender, ``(expires, tx_power, receivers)``: the
+        #: radios, in attach order, that may hear the sender before
+        #: ``expires`` at any transmit power up to ``tx_power``.  Built
+        #: and used only for deterministic propagation, like the link
+        #: cache; dropped whenever a radio or its motion changes.
+        self._neighbours: dict[
+            WirelessPhy, tuple[float, float, list[WirelessPhy]]
+        ] = {}
+        self._san = obs.monitor("channel_mon")
+        #: Sanitize mode: walk every radio anyway and check each one the
+        #: neighbour list skips (ledger notes keep their order and count).
+        self._audit = self._san is not obs.NULL_MONITOR
 
     def attach(self, phy: WirelessPhy) -> None:
         """Connect a radio to this channel."""
@@ -78,14 +105,27 @@ class WirelessChannel:
         phy.channel = self
         phy.propagation = self.propagation
         self._phys.append(phy)
+        phy.mobility.watch(self._forget_neighbours)
+        self._forget_neighbours()
 
     def detach(self, phy: WirelessPhy) -> None:
         """Disconnect a radio (e.g. a vehicle leaving the scenario)."""
         self._phys.remove(phy)
         phy.channel = None
+        phy.mobility.unwatch(self._forget_neighbours)
+        self._forget_neighbours()
         self._link_cache.pop(phy, None)
         for receivers in self._link_cache.values():
             receivers.pop(phy, None)
+
+    def mobility_changed(self, phy: WirelessPhy, previous: "MobilityModel") -> None:
+        """An attached radio now follows a different mobility model."""
+        previous.unwatch(self._forget_neighbours)
+        phy.mobility.watch(self._forget_neighbours)
+        self._forget_neighbours()
+
+    def _forget_neighbours(self) -> None:
+        self._neighbours.clear()
 
     @property
     def phys(self) -> tuple[WirelessPhy, ...]:
@@ -195,17 +235,24 @@ class WirelessChannel:
         propagation = self.propagation
         cacheable = getattr(propagation, "deterministic", False)
         links: dict[WirelessPhy, tuple] = {}
+        tx_power = sender.tx_power
+        receivers = self._phys
+        neighbours = None
         if cacheable:
             sender_links = self._link_cache.get(sender)
             if sender_links is None:
                 sender_links = self._link_cache[sender] = {}
             links = sender_links
-        tx_power = sender.tx_power
+            entry = self._neighbours.get(sender)
+            if entry is not None and env.now < entry[0] and tx_power <= entry[1]:
+                neighbours = entry[2]
+                if not self._audit:
+                    receivers = neighbours
         sender_pos = sender.position
         loss_rng = self._loss_rng
         ledger = self._ledger
         deliveries: list[tuple] = []
-        for receiver in self._phys:
+        for receiver in receivers:
             if receiver is sender:
                 continue
             if blocked and (sender, receiver) in blocked:
@@ -267,6 +314,69 @@ class WirelessChannel:
             )
         if deliveries:
             DeferredBatch(env, deliveries)
+        if not cacheable:
+            return
+        if neighbours is None:
+            self._build_neighbours(sender, tx_power, links)
+        elif self._audit:
+            listed = set(neighbours)
+            for receiver in self._phys:
+                if receiver is sender or receiver in listed:
+                    continue
+                if blocked and (sender, receiver) in blocked:
+                    continue
+                self._san.on_culled(sender, receiver, links[receiver][4])
+
+    def _build_neighbours(
+        self,
+        sender: WirelessPhy,
+        tx_power: float,
+        links: dict[WirelessPhy, tuple],
+    ) -> None:
+        """List the radios that may hear ``sender`` before the list expires.
+
+        Runs right after a full fan-out, so ``links`` holds every
+        unblocked receiver's current distance ``d`` and power.  A receiver
+        is left out only if the link budget at ``max(d - margin, 0)`` is
+        below its carrier-sense threshold.  Until the list expires no pair
+        closes the margin (each radio moves at most ``v_max`` per second),
+        and a deterministic model's power never rises with distance, so a
+        left-out receiver stays out of range: the full loop would skip it
+        too (radio constants are fixed, as the link cache also assumes).
+        Transmit power above the list's rebuilds it; below it only shrinks
+        the range.  Blocked receivers have no fresh budget and are kept.
+        With any radio's speed unbounded, no list is stored and every
+        transmission keeps the full loop.
+        """
+        v_max = 0.0
+        for phy in self._phys:
+            bound = phy.mobility.max_speed()
+            if bound is None:
+                return
+            v_max = max(v_max, bound)
+        params = sender.params
+        blocked = self._blocked
+        neighbours = []
+        for receiver in self._phys:
+            if receiver is sender:
+                continue
+            if not (blocked and (sender, receiver) in blocked):
+                distance, power = links[receiver][3:]
+                threshold = receiver.params.cs_threshold
+                if power < threshold and self.propagation.rx_power(
+                    tx_power,
+                    max(distance - NEIGHBOUR_MARGIN, 0.0),
+                    params.wavelength,
+                    tx_gain=params.tx_gain,
+                    rx_gain=receiver.params.rx_gain,
+                    tx_height=params.antenna_height,
+                    rx_height=receiver.params.antenna_height,
+                    system_loss=params.system_loss,
+                ) < threshold:
+                    continue
+            neighbours.append(receiver)
+        lifetime = NEIGHBOUR_MARGIN / (2.0 * v_max) if v_max > 0 else inf
+        self._neighbours[sender] = (self.env.now + lifetime, tx_power, neighbours)
 
     def _deliver(
         self,

@@ -50,15 +50,10 @@ class Node:
             raise ValueError("node address must be non-negative")
         self.env = env
         self.address = address
-        self.mobility = mobility
         #: ``record(event, time, node, layer, pkt)`` callables every
         #: packet event fans out to (see :func:`repro.obs.api.packet_sinks`).
         self._sinks = obs.packet_sinks(tracer)
-        self.phy = WirelessPhy(
-            env,
-            position_fn=lambda: mobility.position(env.now),
-            params=radio_params,
-        )
+        self.phy = WirelessPhy(env, mobility, params=radio_params)
         channel.attach(self.phy)
         if queue_factory is None:
             self.ifq = DropTailQueue(env, drop_callback=self._queue_drop)
@@ -109,9 +104,18 @@ class Node:
     # -- geometry --------------------------------------------------------------------
 
     @property
+    def mobility(self) -> MobilityModel:
+        """The node's motion model (held by its radio)."""
+        return self.phy.mobility
+
+    @mobility.setter
+    def mobility(self, mobility: MobilityModel) -> None:
+        self.phy.mobility = mobility
+
+    @property
     def position(self) -> tuple[float, float]:
         """Current position, metres."""
-        return self.mobility.position(self.env.now)
+        return self.phy.mobility.position(self.env.now)
 
     # -- downward path --------------------------------------------------------------------
 

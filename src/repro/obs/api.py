@@ -79,6 +79,9 @@ class _NullMonitor:
     def on_backoff(self, mac: Any, slots: int) -> None:
         """802.11 MAC drew a backoff (no-op)."""
 
+    def on_culled(self, sender: Any, receiver: Any, power: float) -> None:
+        """Channel skipped a receiver through a neighbour list (no-op)."""
+
 
 NULL_MONITOR = _NullMonitor()
 
@@ -149,7 +152,8 @@ def packet_ledger() -> Optional["PacketLedger"]:
 
 def monitor(attr: str) -> Any:
     """The sanitizer's protocol monitor ``attr`` (``"queue_mon"``,
-    ``"tcp_mon"``, ``"tdma_mon"``, ``"dcf_mon"``), or the null monitor."""
+    ``"tcp_mon"``, ``"tdma_mon"``, ``"dcf_mon"``, ``"channel_mon"``), or
+    the null monitor."""
     if _sanitizer is None:
         return NULL_MONITOR
     return getattr(_sanitizer, attr)

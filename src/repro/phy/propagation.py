@@ -23,6 +23,8 @@ class PropagationModel:
     #: channel's fast-path link cache only memoises deterministic models —
     #: caching a stochastic model would skip its per-call RNG draws and
     #: change the random stream.  Stochastic subclasses must override this.
+    #: The channel's neighbour lists also rely on a deterministic model's
+    #: power never rising with distance.
     deterministic = True
 
     def rx_power(

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.des.events import DeferredCall, Event
+from repro.mobility.base import MobilityModel
 from repro.net.packet import Packet
 from repro.obs import api as obs
 from repro.perf.fastpath import FASTPATH
@@ -105,8 +106,9 @@ class WirelessPhy:
     ----------
     env:
         Simulation environment.
-    position_fn:
-        Zero-argument callable returning the node's current ``(x, y)``.
+    mobility:
+        The node's motion: the antenna sits at ``mobility.position(now)``,
+        and the channel sizes neighbour lists from its ``max_speed()``.
     params:
         Radio constants.
     propagation:
@@ -116,12 +118,12 @@ class WirelessPhy:
     def __init__(
         self,
         env: "Environment",
-        position_fn: Callable[[], tuple[float, float]],
+        mobility: MobilityModel,
         params: Optional[RadioParams] = None,
         propagation: Optional[PropagationModel] = None,
     ) -> None:
         self.env = env
-        self.position_fn = position_fn
+        self._mobility = mobility
         self.params = params or RadioParams()
         self.propagation = propagation or TwoRayGround()
         #: The MAC above us; set by the MAC's constructor.
@@ -169,6 +171,18 @@ class WirelessPhy:
     # -- geometry ------------------------------------------------------------
 
     @property
+    def mobility(self) -> MobilityModel:
+        """The motion model the antenna follows."""
+        return self._mobility
+
+    @mobility.setter
+    def mobility(self, mobility: MobilityModel) -> None:
+        previous, self._mobility = self._mobility, mobility
+        self._pos_memo = None
+        if self.channel is not None:
+            self.channel.mobility_changed(self, previous)
+
+    @property
     def position(self) -> tuple[float, float]:
         """Current antenna position (metres)."""
         if FASTPATH:
@@ -176,10 +190,10 @@ class WirelessPhy:
             now = self.env.now
             if memo is not None and memo[0] == now:
                 return memo[1]
-            pos = self.position_fn()
+            pos = self._mobility.position(now)
             self._pos_memo = (now, pos)
             return pos
-        return self.position_fn()
+        return self._mobility.position(self.env.now)
 
     def distance_to(self, other: "WirelessPhy") -> float:
         """Euclidean distance to another phy, metres."""

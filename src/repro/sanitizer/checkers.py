@@ -182,6 +182,39 @@ class TdmaMonitor:
         self._open.append((start + duration, slot, mac.address))
 
 
+class ChannelMonitor:
+    """Neighbour-list soundness: a radio the channel's fast path would
+    have skipped (absent from the sender's neighbour list) must be out of
+    carrier-sense range.  In sanitize mode the channel still walks every
+    radio, computes each skipped one's power and reports it here."""
+
+    def __init__(self, emit: Emit, env: "Environment") -> None:
+        self._emit = emit
+        self._env = env
+        #: Skipped receivers whose power was checked.
+        self.culled = 0
+
+    def on_culled(self, sender: Any, receiver: Any, power: float) -> None:
+        self.culled += 1
+        threshold = receiver.params.cs_threshold
+        if power >= threshold:
+            mac = receiver.mac
+            self._emit(
+                InvariantViolation(
+                    checker="cull-unsound",
+                    layer="net",
+                    message=(
+                        f"radio at {receiver.position} is missing from the "
+                        f"neighbour list of the sender at {sender.position} "
+                        f"but hears it at {power:.3e} W >= carrier-sense "
+                        f"threshold {threshold:.3e} W"
+                    ),
+                    time=self._env.now,
+                    node=getattr(mac, "address", None),
+                )
+            )
+
+
 class DcfMonitor:
     """802.11 DCF sanity: NAV never reserves the past, backoffs stay in
     the drawn contention window."""

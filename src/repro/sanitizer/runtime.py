@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.sanitizer.checkers import (
+    ChannelMonitor,
     DcfMonitor,
     QueueMonitor,
     TcpMonitor,
@@ -52,6 +53,7 @@ class Sanitizer:
         self.tcp_mon = TcpMonitor(self.emit, env)
         self.tdma_mon = TdmaMonitor(self.emit, env)
         self.dcf_mon = DcfMonitor(self.emit, env)
+        self.channel_mon = ChannelMonitor(self.emit, env)
         #: Kernel resources built while this sanitizer was active.
         self.resources: list[object] = []
         self._finalized = False
@@ -88,5 +90,6 @@ class Sanitizer:
             ),
         )
         counters["notes"] = self.ledger.notes_recorded
+        counters["culled"] = self.channel_mon.culled
         self.report.counters.update(counters)
         return self.report

@@ -6,6 +6,7 @@ from repro.des import Environment
 from repro.experiments.analytic import BianchiModel, TdmaModel
 from repro.mac.dcf import Dcf80211Mac
 from repro.mac.tdma import TdmaMac, TdmaParams
+from repro.mobility.base import StationaryMobility
 from repro.net.channel import WirelessChannel
 from repro.net.headers import IpHeader, MacHeader
 from repro.net.packet import Packet, PacketType
@@ -39,7 +40,7 @@ def test_tdma_model_matches_simulated_saturation_throughput():
     channel = WirelessChannel(env)
 
     def build(address, x):
-        phy = WirelessPhy(env, position_fn=lambda: (x, 0.0))
+        phy = WirelessPhy(env, StationaryMobility(x, 0.0))
         channel.attach(phy)
         mac = TdmaMac(env, address, phy, DropTailQueue(env, limit=500),
                       TdmaParams(num_slots=8, slot_packet_len=1500))
@@ -76,7 +77,7 @@ def test_tdma_model_matches_simulated_access_delay():
     channel = WirelessChannel(env)
 
     def build(address, x):
-        phy = WirelessPhy(env, position_fn=lambda: (x, 0.0))
+        phy = WirelessPhy(env, StationaryMobility(x, 0.0))
         channel.attach(phy)
         mac = TdmaMac(env, address, phy, DropTailQueue(env),
                       TdmaParams(num_slots=8, slot_packet_len=1500))
@@ -153,7 +154,7 @@ def test_bianchi_matches_simulated_dcf_saturation():
     received = []
 
     def build(address, x):
-        phy = WirelessPhy(env, position_fn=lambda: (x, 0.0))
+        phy = WirelessPhy(env, StationaryMobility(x, 0.0))
         channel.attach(phy)
         mac = Dcf80211Mac(env, address, phy, DropTailQueue(env, limit=500))
         mac.recv_callback = received.append

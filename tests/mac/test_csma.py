@@ -4,6 +4,7 @@ import pytest
 
 from repro.des import Environment
 from repro.mac.csma import CsmaMac, CsmaParams
+from repro.mobility.base import StationaryMobility
 from repro.net.addresses import BROADCAST
 from repro.net.channel import WirelessChannel
 from repro.net.headers import IpHeader, MacHeader
@@ -13,7 +14,7 @@ from repro.phy.radio import WirelessPhy
 
 
 def build_mac(env, channel, address, x, params=None):
-    phy = WirelessPhy(env, position_fn=lambda: (x, 0.0))
+    phy = WirelessPhy(env, StationaryMobility(x, 0.0))
     channel.attach(phy)
     mac = CsmaMac(env, address, phy, DropTailQueue(env), params=params)
     mac.start()

@@ -7,6 +7,7 @@ import pytest
 from repro.des import Environment
 from repro.mac.dcf import Dcf80211Mac
 from repro.mac.edca import EdcaMac, EdcaParams
+from repro.mobility.base import StationaryMobility
 from repro.net.channel import WirelessChannel
 from repro.net.headers import EblHeader, IpHeader, MacHeader
 from repro.net.packet import Packet, PacketType
@@ -15,7 +16,7 @@ from repro.phy.radio import WirelessPhy
 
 
 def build_mac(env, channel, address, x, cls=EdcaMac, seed=0):
-    phy = WirelessPhy(env, position_fn=lambda: (x, 0.0))
+    phy = WirelessPhy(env, StationaryMobility(x, 0.0))
     channel.attach(phy)
     mac = cls(env, address, phy, DropTailQueue(env, limit=300),
               rng=random.Random(seed * 100 + address))
@@ -32,7 +33,7 @@ def packet(src, dst, ptype=PacketType.CBR, size=1000):
 def test_edca_requires_edca_params():
     env = Environment()
     channel = WirelessChannel(env)
-    phy = WirelessPhy(env, position_fn=lambda: (0, 0))
+    phy = WirelessPhy(env, StationaryMobility(0, 0))
     channel.attach(phy)
     from repro.mac.dcf import DcfParams
 

@@ -10,6 +10,7 @@ from repro.des import Environment
 from repro.mac.dcf import Dcf80211Mac
 from repro.mac.rate_control import DEFAULT_RATES, ArfRateController
 from repro.mac.tdma import TdmaMac, TdmaParams
+from repro.mobility.base import StationaryMobility
 from repro.net.channel import WirelessChannel
 from repro.net.headers import IpHeader, MacHeader
 from repro.net.packet import Packet, PacketType
@@ -50,7 +51,7 @@ def test_dcf_long_run_fairness(seed):
     channel = WirelessChannel(env)
 
     def build(address, x):
-        phy = WirelessPhy(env, position_fn=lambda: (x, 0.0))
+        phy = WirelessPhy(env, StationaryMobility(x, 0.0))
         channel.attach(phy)
         mac = Dcf80211Mac(env, address, phy, DropTailQueue(env, limit=300),
                           rng=random.Random(seed * 10 + address))
@@ -91,7 +92,7 @@ def test_tdma_slot_ownership_arithmetic(num_slots, address, now):
     never in the past."""
     env = Environment()
     channel = WirelessChannel(env)
-    phy = WirelessPhy(env, position_fn=lambda: (0.0, 0.0))
+    phy = WirelessPhy(env, StationaryMobility(0.0, 0.0))
     channel.attach(phy)
     mac = TdmaMac(env, address, phy, DropTailQueue(env),
                   TdmaParams(num_slots=num_slots))

@@ -5,6 +5,7 @@ import pytest
 from repro.des import Environment
 from repro.mac.dcf import Dcf80211Mac
 from repro.mac.rate_control import DEFAULT_RATES, ArfRateController
+from repro.mobility.base import StationaryMobility
 from repro.net.channel import WirelessChannel
 from repro.net.headers import IpHeader, MacHeader
 from repro.net.packet import Packet, PacketType
@@ -101,8 +102,8 @@ def test_high_rate_frame_undecodable_at_range():
         def phy_rx_failed(self, p, r):
             pass
 
-    tx = WirelessPhy(env, position_fn=lambda: (0.0, 0.0))
-    rx = WirelessPhy(env, position_fn=lambda: (200.0, 0.0))
+    tx = WirelessPhy(env, StationaryMobility(0.0, 0.0))
+    rx = WirelessPhy(env, StationaryMobility(200.0, 0.0))
     tx.mac, rx.mac = Mac(), Mac()
     channel.attach(tx)
     channel.attach(rx)
@@ -130,7 +131,7 @@ def test_high_rate_frame_undecodable_at_range():
 
 
 def build_mac(env, channel, address, x, arf=None):
-    phy = WirelessPhy(env, position_fn=lambda: (x, 0.0))
+    phy = WirelessPhy(env, StationaryMobility(x, 0.0))
     channel.attach(phy)
     mac = Dcf80211Mac(env, address, phy, DropTailQueue(env, limit=200),
                       rate_controller=arf)

@@ -5,6 +5,7 @@ import pytest
 from repro.des import Environment
 from repro.mac.base import PLCP_OVERHEAD
 from repro.mac.tdma import TdmaMac, TdmaParams
+from repro.mobility.base import StationaryMobility
 from repro.net.addresses import BROADCAST
 from repro.net.channel import WirelessChannel
 from repro.net.headers import IpHeader, MacHeader
@@ -14,7 +15,7 @@ from repro.phy.radio import WirelessPhy
 
 
 def build_mac(env, channel, address, x, num_slots=4, slot_packet_len=1500):
-    phy = WirelessPhy(env, position_fn=lambda: (x, 0.0))
+    phy = WirelessPhy(env, StationaryMobility(x, 0.0))
     channel.attach(phy)
     ifq = DropTailQueue(env)
     mac = TdmaMac(

@@ -56,8 +56,7 @@ def test_link_forms_as_receiver_drives_into_range(env):
     # Replace the mover: start far away and approach.
     far = WaypointMobility(600.0, 0.0)
     far.set_destination(0.0, 100.0, 0.0, speed=50.0)
-    nodes[1].mobility = far
-    nodes[1].phy.position_fn = lambda: far.position(env.now)
+    nodes[1].mobility = far  # re-points the radio too
     agent, sink = UdpAgent(nodes[0], 1), UdpSink(nodes[1], 1)
     agent.connect(1, 1)
 

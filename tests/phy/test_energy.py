@@ -3,6 +3,7 @@
 import pytest
 
 from repro.des import Environment
+from repro.mobility.base import StationaryMobility
 from repro.net.channel import WirelessChannel
 from repro.net.headers import IpHeader, MacHeader
 from repro.net.packet import Packet, PacketType
@@ -79,8 +80,8 @@ def test_radio_charges_tx_and_rx():
         def phy_rx_failed(self, p, r):
             pass
 
-    tx = WirelessPhy(env, position_fn=lambda: (0.0, 0.0))
-    rx = WirelessPhy(env, position_fn=lambda: (100.0, 0.0))
+    tx = WirelessPhy(env, StationaryMobility(0.0, 0.0))
+    rx = WirelessPhy(env, StationaryMobility(100.0, 0.0))
     tx.mac, rx.mac = Mac(), Mac()
     channel.attach(tx)
     channel.attach(rx)
@@ -114,8 +115,8 @@ def test_sensing_only_signals_not_charged_as_rx():
         def phy_rx_failed(self, p, r):
             pass
 
-    tx = WirelessPhy(env, position_fn=lambda: (0.0, 0.0))
-    rx = WirelessPhy(env, position_fn=lambda: (400.0, 0.0))  # sensing zone
+    tx = WirelessPhy(env, StationaryMobility(0.0, 0.0))
+    rx = WirelessPhy(env, StationaryMobility(400.0, 0.0))  # sensing zone
     tx.mac, rx.mac = Mac(), Mac()
     channel.attach(tx)
     channel.attach(rx)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.des import Environment
+from repro.mobility.base import StationaryMobility
 from repro.net.channel import WirelessChannel
 from repro.net.headers import IpHeader, MacHeader
 from repro.net.packet import Packet, PacketType
@@ -162,8 +163,8 @@ def test_error_model_drops_frames_at_radio():
         def phy_rx_failed(self, p, reason):
             failed.append(reason)
 
-    tx = WirelessPhy(env, position_fn=lambda: (0.0, 0.0))
-    rx = WirelessPhy(env, position_fn=lambda: (100.0, 0.0))
+    tx = WirelessPhy(env, StationaryMobility(0.0, 0.0))
+    rx = WirelessPhy(env, StationaryMobility(100.0, 0.0))
     tx.mac, rx.mac = Mac(), Mac()
     channel.attach(tx)
     channel.attach(rx)
@@ -196,8 +197,8 @@ def test_error_model_sees_true_distance():
         def phy_rx_failed(self, p, reason):
             pass
 
-    tx = WirelessPhy(env, position_fn=lambda: (0.0, 0.0))
-    rx = WirelessPhy(env, position_fn=lambda: (120.0, 0.0))
+    tx = WirelessPhy(env, StationaryMobility(0.0, 0.0))
+    rx = WirelessPhy(env, StationaryMobility(120.0, 0.0))
     tx.mac, rx.mac = Mac(), Mac()
     channel.attach(tx)
     channel.attach(rx)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.des import Environment
+from repro.mobility.base import StationaryMobility
 from repro.net.channel import WirelessChannel
 from repro.net.headers import IpHeader, MacHeader
 from repro.net.packet import Packet, PacketType
@@ -28,7 +29,7 @@ class RecordingMac:
 
 
 def make_phy(env, channel, x, y=0.0):
-    phy = WirelessPhy(env, position_fn=lambda: (x, y))
+    phy = WirelessPhy(env, StationaryMobility(x, y))
     phy.mac = RecordingMac()
     channel.attach(phy)
     return phy
@@ -97,7 +98,7 @@ def test_transmitting_state_and_half_duplex(env, channel):
 
 
 def test_transmit_requires_channel(env):
-    phy = WirelessPhy(env, position_fn=lambda: (0, 0))
+    phy = WirelessPhy(env, StationaryMobility(0, 0))
     with pytest.raises(RuntimeError):
         phy.transmit(data_packet(), 0.001)
 

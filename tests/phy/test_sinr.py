@@ -3,6 +3,7 @@
 import pytest
 
 from repro.des import Environment
+from repro.mobility.base import StationaryMobility
 from repro.net.channel import WirelessChannel
 from repro.net.headers import IpHeader, MacHeader
 from repro.net.packet import Packet, PacketType
@@ -26,7 +27,7 @@ class RecordingMac:
 
 def make_phy(env, channel, x, sinr=True):
     params = RadioParams(sinr_mode=sinr)
-    phy = WirelessPhy(env, position_fn=lambda: (x, 0.0), params=params)
+    phy = WirelessPhy(env, StationaryMobility(x, 0.0), params=params)
     phy.mac = RecordingMac()
     channel.attach(phy)
     return phy
@@ -152,8 +153,8 @@ def test_noise_floor_blocks_marginal_signals(env, channel):
     env2 = Environment()
     channel2 = WirelessChannel(env2)
     params = RadioParams(sinr_mode=True, noise_floor=1e-10)
-    tx = WirelessPhy(env2, position_fn=lambda: (0.0, 0.0), params=params)
-    rx = WirelessPhy(env2, position_fn=lambda: (240.0, 0.0), params=params)
+    tx = WirelessPhy(env2, StationaryMobility(0.0, 0.0), params=params)
+    rx = WirelessPhy(env2, StationaryMobility(240.0, 0.0), params=params)
     tx.mac, rx.mac = RecordingMac(), RecordingMac()
     channel2.attach(tx)
     channel2.attach(rx)

@@ -48,7 +48,19 @@ class TestGeneration:
             assert isinstance(config, TrialConfig)  # validated on init
             assert config.sanitize is True
             assert config.enable_trace is False
-            assert 3.0 <= config.duration <= 8.0
+            if (config.platoon_size - 1) * config.spacing > 600:
+                assert 1.0 <= config.duration <= 2.0  # long platoon
+            else:
+                assert 3.0 <= config.duration <= 8.0
+
+    def test_some_platoons_outgrow_carrier_sense_range(self):
+        # So the sanitizer's culling check sees skipped receivers.
+        lengths = [
+            (config.platoon_size - 1) * config.spacing
+            for config in generate_configs(1, 25)
+        ]
+        assert any(length > 600 for length in lengths)
+        assert any(length < 550 for length in lengths)
 
     def test_names_encode_seed_and_index(self):
         assert generate_config(7, 12).name == "fuzz-7-0012"
